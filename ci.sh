@@ -10,6 +10,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test --workspace -q (every crate's tests, kernel included)"
+cargo test --workspace -q
+
 echo "==> cargo test -p fpga-lint -q (linter self-tests incl. adversarial gate)"
 cargo test -p fpga-lint -q
 

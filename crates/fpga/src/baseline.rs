@@ -77,7 +77,9 @@ impl<'d> BaselineRouter<'d> {
         let mut order: Vec<usize> = (0..circuit.net_count()).collect();
         order.sort_by_key(|&ni| std::cmp::Reverse(circuit.nets()[ni].pin_count()));
         let mut last_failure = 0usize;
-        for pass in 1..=self.config.max_passes.max(1) {
+        // At least one pass runs, whatever the configured budget.
+        let max_passes = self.config.max_passes.max(1);
+        for pass in 1..=max_passes {
             match self.route_pass(circuit, &order)? {
                 Ok(mut outcome) => {
                     outcome.passes = pass;
@@ -96,7 +98,7 @@ impl<'d> BaselineRouter<'d> {
         }
         Err(FpgaError::Unroutable {
             channel_width: self.device.arch().channel_width,
-            passes: self.config.max_passes,
+            passes: max_passes,
             failed_net: last_failure,
             overcapacity: Vec::new(),
         })
@@ -315,6 +317,23 @@ mod tests {
             router.route(&circuit),
             Err(FpgaError::Unroutable { .. })
         ));
+    }
+
+    #[test]
+    fn unroutable_report_counts_the_pass_a_zero_budget_still_runs() {
+        let circuit = fanout_circuit();
+        let device = Device::new(ArchSpec::xilinx4000(3, 3, 1)).unwrap();
+        let router = BaselineRouter::new(
+            &device,
+            BaselineConfig {
+                max_passes: 0,
+                ..BaselineConfig::default()
+            },
+        );
+        match router.route(&circuit) {
+            Err(FpgaError::Unroutable { passes, .. }) => assert_eq!(passes, 1),
+            other => panic!("expected an unroutable report, got {other:?}"),
+        }
     }
 
     #[test]

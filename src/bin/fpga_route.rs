@@ -568,6 +568,14 @@ fn cmd_net(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     let cols = get_usize(flags, "cols", Some(20))?;
     let pins = get_usize(flags, "pins", Some(5))?;
     let seed = get_u64(flags, "seed", 7)?;
+    let nodes = rows.saturating_mul(cols);
+    if pins == 0 || pins > nodes {
+        return Err(format!(
+            "--pins {pins} is out of range: a {rows}x{cols} grid has {nodes} node(s), \
+             so a net takes 1 to {nodes} pins"
+        )
+        .into());
+    }
     let grid = GridGraph::new(rows, cols, Weight::UNIT)?;
     let mut rng = fpga_route::graph::rng::SplitMix64::seed_from_u64(seed);
     let terminals = fpga_route::graph::random::random_net(grid.graph(), pins, &mut rng)?;
@@ -927,6 +935,20 @@ mod tests {
             ("algorithm", "idom"),
         ]))
         .unwrap();
+    }
+
+    #[test]
+    fn net_command_rejects_pin_counts_the_grid_cannot_hold() {
+        let err = cmd_net(&flags(&[("rows", "1"), ("cols", "1"), ("pins", "50")]))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("--pins 50") && err.contains("1x1 grid has 1 node(s)"), "{err}");
+        let err = cmd_net(&flags(&[("rows", "3"), ("cols", "4"), ("pins", "0")]))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("--pins 0") && err.contains("3x4 grid has 12 node(s)"), "{err}");
+        // A net may use every node of the grid.
+        cmd_net(&flags(&[("rows", "2"), ("cols", "2"), ("pins", "4")])).unwrap();
     }
 
     #[test]
