@@ -17,10 +17,13 @@
 //!   (Definition 4.1) tests `minpath(n0, p) == minpath(n0, s) + minpath(s, p)`
 //!   and would be meaningless under floating-point drift.
 //! * [`ShortestPaths`] — Dijkstra single-source shortest paths with parent
-//!   links and path extraction, backed by the [`heap::IndexedBinaryHeap`]
-//!   decrease-key priority queue. Goal-oriented (A*) variants (`run_guided`,
+//!   links and path extraction, run on a lazy-deletion binary min-heap
+//!   whose queue and target flags are reused per thread
+//!   ([`KernelScratch`]). Goal-oriented (A*) variants (`run_guided`,
 //!   `run_to_targets_guided`, `minpath_guided`) reorder the frontier by an
 //!   admissible lower bound while settling bit-identical distances and paths.
+//! * [`heap`] — an indexed decrease-key binary heap, used by the exact
+//!   Steiner solvers of `steiner-route`.
 //! * [`lowerbound`] — the admissible potentials steering those variants:
 //!   grid-Manhattan bounds for RR-graph-shaped grids and ALT landmark
 //!   tables for general graphs, all in saturating [`Weight`] math.

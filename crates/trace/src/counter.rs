@@ -15,7 +15,9 @@
 pub enum Counter {
     /// Dijkstra single-source runs started (including early-terminated).
     DijkstraRuns,
-    /// Nodes settled by popping the Dijkstra priority queue.
+    /// Nodes settled by popping the Dijkstra priority queue. The queue
+    /// uses lazy deletion, so stale entries of already-settled nodes are
+    /// popped and skipped too; those are not counted.
     DijkstraHeapPops,
     /// Edge relaxations examined during Dijkstra runs.
     DijkstraRelaxations,
@@ -77,11 +79,15 @@ pub enum Counter {
     /// Edges rewritten by the negotiated-congestion cost update, full
     /// sweeps and incremental (delta) sweeps combined.
     PathfinderRepricedEdges,
-    /// Frontier nodes a goal-oriented (A*) kernel query left unsettled
-    /// in the heap at early exit — work plain Dijkstra would have done.
+    /// Live frontier nodes a goal-oriented (A*) kernel query left queued
+    /// but unsettled at early exit, each counted once — work plain
+    /// Dijkstra would have done. Superseded queue entries are not counted.
     AstarPrunedNodes,
-    /// Heap inserts plus strict decrease-key accepts across all kernel
-    /// queries (guided or plain).
+    /// Queue entries pushed across all kernel queries (guided or plain):
+    /// one per discovered node plus one per strict distance improvement.
+    /// With lazy deletion an improvement pushes a new entry instead of
+    /// decreasing the old one, so pushes minus settling pops is the stale
+    /// and unsettled queue work.
     HeapPushes,
     /// Lower-bound potential constructions (grid-Manhattan or landmark
     /// tables) built for goal-oriented kernel queries.
