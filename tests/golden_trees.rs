@@ -1,11 +1,15 @@
-//! Golden routing identity: a few Table 5 circuits at seed 1995, routed
-//! by rip-up and by selective PathFinder, must keep producing exactly the
-//! same trees. Each outcome is reduced to a stable hash of every net's
-//! sorted edge list plus its total wirelength and pathlength; the
-//! constants were captured before the shortest-path kernel's queue was
-//! replaced, so any change to what the router builds fails here.
+//! Golden routing identity: the nine Table 5 circuits at seed 1995,
+//! routed by rip-up, plus a selective PathFinder run and two rip-up
+//! minimum-width searches, must keep producing exactly the same trees.
+//! Each outcome is reduced to a stable hash of every net's sorted edge
+//! list plus its total wirelength and pathlength. The rip-up constants
+//! were captured before the rip-up pass moved onto one in-place CSR and
+//! screening stopped allocating (the `term1`/`9symml` ones already before
+//! the shortest-path kernel's queue was replaced), so any change to what
+//! the router builds fails here.
 
-use fpga_route::fpga::synth::{synthesize, xc4000_profiles};
+use fpga_route::fpga::synth::{synthesize, xc4000_profiles, CircuitProfile};
+use fpga_route::fpga::width::{minimum_channel_width, WidthSearch};
 use fpga_route::fpga::{ArchSpec, Device, RouteMode, RouteOutcome, Router, RouterConfig};
 
 /// The CLI's default synthesis seed.
@@ -41,16 +45,39 @@ fn fingerprint(outcome: &RouteOutcome) -> Golden {
     )
 }
 
-fn route(circuit: &str, width: usize, config: RouterConfig) -> Golden {
-    let profile = xc4000_profiles()
+fn profile(circuit: &str) -> CircuitProfile {
+    xc4000_profiles()
         .into_iter()
         .find(|p| p.name == circuit)
-        .expect("a Table 5 profile");
+        .expect("a Table 5 profile")
+}
+
+fn route(circuit: &str, width: usize, config: RouterConfig) -> Golden {
+    let profile = profile(circuit);
     let nets = synthesize(&profile, 2, SEED).expect("synthesizable");
     let device = Device::new(ArchSpec::xilinx4000(profile.rows, profile.cols, width))
         .expect("a valid architecture");
     let outcome = Router::new(&device, config).route(&nets).expect("routable");
     fingerprint(&outcome)
+}
+
+/// Binary minimum-width search over `3..=24` with a 10-pass rip-up
+/// budget, as the width-search benchmark runs it: `(width, golden)`.
+fn min_width(circuit: &str) -> (usize, Golden) {
+    let profile = profile(circuit);
+    let nets = synthesize(&profile, 2, SEED).expect("synthesizable");
+    let config = RouterConfig {
+        max_passes: 10,
+        ..ripup()
+    };
+    let found = minimum_channel_width(
+        ArchSpec::xilinx4000(profile.rows, profile.cols, 24),
+        3..=24,
+        WidthSearch::Binary,
+        |device| Router::new(device, config.clone()).route(&nets),
+    )
+    .expect("routable within the range");
+    (found.channel_width, fingerprint(&found.outcome))
 }
 
 fn ripup() -> RouterConfig {
@@ -82,6 +109,78 @@ fn ripup_9symml_trees_are_unchanged() {
     assert_eq!(
         route("9symml", 12, ripup()),
         (14_795_732_482_741_687_242, 859_000, 536_000)
+    );
+}
+
+#[test]
+fn ripup_alu4_trees_are_unchanged() {
+    assert_eq!(
+        route("alu4", 12, ripup()),
+        (6_917_616_684_652_916_404, 2_998_000, 1_894_000)
+    );
+}
+
+#[test]
+fn ripup_apex7_trees_are_unchanged() {
+    assert_eq!(
+        route("apex7", 12, ripup()),
+        (15_908_040_719_496_718_272, 1_100_000, 781_000)
+    );
+}
+
+#[test]
+fn ripup_example2_trees_are_unchanged() {
+    assert_eq!(
+        route("example2", 12, ripup()),
+        (14_472_674_487_427_021_822, 1_904_000, 1_352_000)
+    );
+}
+
+#[test]
+fn ripup_too_large_trees_are_unchanged() {
+    assert_eq!(
+        route("too_large", 12, ripup()),
+        (4_496_506_407_429_824_415, 2_032_000, 1_327_000)
+    );
+}
+
+#[test]
+fn ripup_k2_trees_are_unchanged() {
+    assert_eq!(
+        route("k2", 12, ripup()),
+        (462_127_320_481_777_028, 4_653_000, 3_032_000)
+    );
+}
+
+#[test]
+fn ripup_vda_trees_are_unchanged() {
+    assert_eq!(
+        route("vda", 12, ripup()),
+        (7_856_758_128_928_106_086, 2_703_000, 1_679_000)
+    );
+}
+
+#[test]
+fn ripup_alu2_trees_are_unchanged() {
+    assert_eq!(
+        route("alu2", 12, ripup()),
+        (17_662_679_394_392_470_836, 1_769_000, 1_061_000)
+    );
+}
+
+#[test]
+fn ripup_term1_minimum_width_is_unchanged() {
+    assert_eq!(
+        min_width("term1"),
+        (7, (10_149_248_905_059_025_353, 851_000, 601_000))
+    );
+}
+
+#[test]
+fn ripup_9symml_minimum_width_is_unchanged() {
+    assert_eq!(
+        min_width("9symml"),
+        (7, (16_114_340_375_865_499_665, 857_000, 525_000))
     );
 }
 
