@@ -163,7 +163,7 @@ fn speculate(
                         .step_by(workers)
                         .map(|(bi, &ni)| {
                             route_graph::readset::begin();
-                            let result = router.route_net(&mut g, circuit, ni, critical, None);
+                            let result = router.route_net(&mut g, circuit, ni, critical);
                             let reads = route_graph::readset::take();
                             // O(1) back to the pristine snapshot for the
                             // worker's next net.
@@ -261,7 +261,7 @@ pub(crate) fn route_pass_parallel(
         if len == 1 {
             // Nothing to overlap with — take the sequential path directly.
             let ni = batch[0];
-            match router.route_net(&mut g, circuit, ni, critical, None)? {
+            match router.route_net(&mut g, circuit, ni, critical)? {
                 Some(tree) => commit_one(router, &mut g, &mut usage, w, &mut trees, ni, tree, None)?,
                 None => finish_pass!(PassResult::Failed(ni)),
             }
@@ -326,7 +326,7 @@ pub(crate) fn route_pass_parallel(
                         if route_trace::enabled() {
                             route_trace::count(route_trace::Counter::ConflictReroutes, 1);
                         }
-                        match router.route_net(&mut g, circuit, ni, critical, None)? {
+                        match router.route_net(&mut g, circuit, ni, critical)? {
                             Some(tree) => commit_one(
                                 router,
                                 &mut g,

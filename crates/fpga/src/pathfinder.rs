@@ -882,7 +882,7 @@ fn route_net_excluded<G: GraphViewMut>(
         inner: graph,
         net_salt: ni as u64,
     };
-    let result = router.route_net(&mut tilted, circuit, ni, critical, None);
+    let result = router.route_net(&mut tilted, circuit, ni, critical);
     while let Some((e, w)) = saved.pop() {
         graph.set_weight(e, w)?;
     }

@@ -11,9 +11,7 @@
 //! paper's feasibility threshold is 20) the circuit is declared unroutable
 //! at this channel width.
 
-use route_graph::{
-    CsrView, Graph, GraphError, GraphView, GraphViewMut, NodeId, OverlayArena, Weight,
-};
+use route_graph::{CsrView, GraphError, GraphView, GraphViewMut, NodeId, OverlayArena, Weight};
 use steiner_route::{
     idom_with_config, CandidatePool, Djka, Dom, Iterated, IteratedConfig, Kmb, Net,
     Pfa, RoutingTree, SteinerError, SteinerHeuristic, Zel,
@@ -533,13 +531,27 @@ impl<'d> Router<'d> {
         }
     }
 
+    /// One sequential rip-up pass: routes the nets in `order`, committing
+    /// each tree before the next net is routed.
+    ///
+    /// Every net is routed on one flat [`CsrView`] of the device graph,
+    /// built once per pass and mutated in place. Logic-block pins start
+    /// hidden; before a net is routed its own pins are revealed and their
+    /// edges priced (see [`reveal_pins`](Router::reveal_pins)), and after
+    /// it is routed they are hidden again, so no foreign pin ever enters
+    /// a live lane and [`route_net`](Router::route_net)'s pin mask finds
+    /// nothing to hide. The commit then removes the tree and reprices the
+    /// segment edges around it in the same view.
     fn route_pass(
         &self,
         circuit: &Circuit,
         order: &[usize],
         critical: &[bool],
     ) -> Result<(PassResult, crate::telemetry::PassTelemetry), FpgaError> {
-        let mut g = self.device.working_graph();
+        let mut g = CsrView::build(self.device.graph());
+        for pin in self.device.pin_nodes() {
+            g.remove_node(pin)?;
+        }
         if route_trace::enabled() {
             route_trace::count(route_trace::Counter::GraphSnapshotClones, 1);
         }
@@ -548,7 +560,13 @@ impl<'d> Router<'d> {
         let mut trees: Vec<Option<RoutingTree>> = vec![None; circuit.net_count()];
         let mut timing = crate::telemetry::PassTelemetry::default();
         for &ni in order {
-            match self.route_net(&mut g, circuit, ni, critical, Some(CsrView::build::<Graph>))? {
+            let pins = circuit.net_terminals(self.device, ni)?;
+            self.reveal_pins(&mut g, &usage, w, &pins)?;
+            let routed = self.route_net(&mut g, circuit, ni, critical);
+            for &pin in &pins {
+                g.remove_node(pin)?;
+            }
+            match routed? {
                 Some(tree) => {
                     self.commit(&mut g, &mut usage, w, &tree, None)?;
                     // Report against the pristine device graph so costs
@@ -570,23 +588,47 @@ impl<'d> Router<'d> {
         Ok((PassResult::Complete(self.finalize(circuit, trees)?), timing))
     }
 
-    /// Routes a single net against the current pass graph: masks foreign
-    /// pins, runs the configured construction, and restores the masked
-    /// pins. `Ok(None)` reports an unroutable (disconnected) net; the
-    /// graph is left exactly as it was on entry either way.
+    /// Reveals a net's hidden pins in the pass graph and prices each
+    /// pin's usable edges with the congestion formula
+    /// [`commit`](Router::commit) applies.
     ///
-    /// With `snapshot`, the construction runs against a flat-CSR copy of
-    /// the masked graph built by it instead of against `g` itself: one
-    /// `O(nodes + edges)` build then serves every shortest-path flood of
-    /// the net. The copy has `g`'s iteration order, liveness and weights,
-    /// so the tree is the same either way.
+    /// Every device edge starts at [`Weight::UNIT`], the formula at zero
+    /// occupancy, and `commit` only ever rewrites an edge with the formula
+    /// at the current occupancy of its endpoints. A pin's own occupancy is
+    /// always zero, so a pin edge's eagerly refreshed weight would be the
+    /// formula at its segment's current occupancy — exactly the price set
+    /// here. Pricing at reveal time therefore gives the weights an
+    /// eagerly refreshed graph with every pin live would hold.
+    fn reveal_pins<G: GraphViewMut>(
+        &self,
+        g: &mut G,
+        usage: &[u32],
+        w: u64,
+        pins: &[NodeId],
+    ) -> Result<(), FpgaError> {
+        for &pin in pins {
+            g.restore_node(pin)?;
+            let edges: Vec<_> = g.neighbors(pin).map(|(_, e, _)| e).collect();
+            for e in edges {
+                let (a, b) = g.endpoints(e)?;
+                g.set_weight(e, self.congestion_weight(usage, w, a, b))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Routes a single net against the current pass graph: masks foreign
+    /// pins, runs the configured construction on `g`, and restores the
+    /// masked pins. `Ok(None)` reports an unroutable (disconnected) net;
+    /// the graph is left exactly as it was on entry either way. In the
+    /// sequential pass `g` is the pass [`CsrView`], whose foreign pins
+    /// are already hidden.
     pub(crate) fn route_net<G: GraphViewMut>(
         &self,
         g: &mut G,
         circuit: &Circuit,
         ni: usize,
         critical: &[bool],
-        snapshot: Option<fn(&G) -> CsrView>,
     ) -> Result<Option<RoutingTree>, FpgaError> {
         let _net_span = route_trace::span(route_trace::SpanKind::Net, "net", ni as u64);
         let net_started = if route_trace::enabled() {
@@ -606,10 +648,7 @@ impl<'d> Router<'d> {
         let result = {
             let _phase_span =
                 route_trace::span(route_trace::SpanKind::Phase, algorithm.label(), 0);
-            match snapshot {
-                Some(build) => algorithm.heuristic(pool).construct(&build(g), &net),
-                None => algorithm.heuristic(pool).construct(g, &net),
-            }
+            algorithm.heuristic(pool).construct(g, &net)
         };
         if route_trace::enabled() {
             route_trace::count(route_trace::Counter::NetsRouted, 1);
@@ -699,7 +738,6 @@ impl<'d> Router<'d> {
         // Refresh weights of live edges around congested positions.
         touched.sort_unstable();
         touched.dedup();
-        let alpha = self.config.congestion_alpha_milli;
         for &pos in &touched {
             for v in self.device.segment_nodes_at(pos) {
                 if !g.is_node_live(v) {
@@ -711,14 +749,7 @@ impl<'d> Router<'d> {
                 let edges: Vec<_> = g.neighbors(v).map(|(_, e, _)| e).collect();
                 for e in edges {
                     let (a, b) = g.endpoints(e)?;
-                    let occ = |n: NodeId| {
-                        self.device
-                            .segment_position(n)
-                            .map_or(0, |p| usage[p]) as u64
-                    };
-                    let u = occ(a).max(occ(b));
-                    let pressure = Weight::from_milli(alpha.saturating_mul(u) / w.max(1));
-                    g.set_weight(e, Weight::UNIT.saturating_add(pressure))?;
+                    g.set_weight(e, self.congestion_weight(usage, w, a, b))?;
                 }
             }
         }
@@ -729,6 +760,20 @@ impl<'d> Router<'d> {
             );
         }
         Ok(())
+    }
+
+    /// The congestion weight of an edge between `a` and `b`:
+    /// `1 + alpha·u/W` units, where `u` is the larger occupancy of the two
+    /// endpoints' channel positions (a pin has none, so counts as 0).
+    fn congestion_weight(&self, usage: &[u32], w: u64, a: NodeId, b: NodeId) -> Weight {
+        let occ = |n: NodeId| {
+            self.device
+                .segment_position(n)
+                .map_or(0, |p| usage[p]) as u64
+        };
+        let u = occ(a).max(occ(b));
+        let alpha = self.config.congestion_alpha_milli;
+        Weight::UNIT.saturating_add(Weight::from_milli(alpha.saturating_mul(u) / w.max(1)))
     }
 
     /// Candidate pool for iterated algorithms: every segment within the

@@ -496,7 +496,7 @@ pub(crate) fn route_pass_wavefront(
                     if !head {
                         route_graph::readset::begin();
                     }
-                    let result = router.route_net(&mut g, circuit, order[pos], critical, None);
+                    let result = router.route_net(&mut g, circuit, order[pos], critical);
                     let reads = if head {
                         Vec::new()
                     } else {
@@ -678,7 +678,7 @@ pub(crate) fn route_pass_wavefront(
                         // to the committer while workers read the shared
                         // graph underneath.
                         let mut g = GraphOverlay::bind(&cview, &mut committer_arena);
-                        let result = router.route_net(&mut g, circuit, ni, critical, None);
+                        let result = router.route_net(&mut g, circuit, ni, critical);
                         match result {
                             Err(e) => {
                                 verdict = Err(e);
@@ -698,7 +698,7 @@ pub(crate) fn route_pass_wavefront(
                         // sequential engine would — masks land on the
                         // shared graph and are restored before anyone
                         // can look. This is the zero-overhead path.
-                        let result = router.route_net(&mut writer, circuit, ni, critical, None);
+                        let result = router.route_net(&mut writer, circuit, ni, critical);
                         {
                             let mut st = lock_state(&state);
                             st.gate = false;
