@@ -228,14 +228,30 @@ fn get_usize(
     default: Option<usize>,
 ) -> Result<usize, Box<dyn Error>> {
     match (flags.get(key), default) {
-        (Some(v), _) => Ok(v.parse()?),
+        (Some(v), _) => parse_number(key, v),
         (None, Some(d)) => Ok(d),
         (None, None) => Err(format!("missing required flag --{key}").into()),
     }
 }
 
 fn get_u64(flags: &HashMap<String, String>, key: &str, default: u64) -> Result<u64, Box<dyn Error>> {
-    flags.get(key).map_or(Ok(default), |v| Ok(v.parse()?))
+    flags.get(key).map_or(Ok(default), |v| parse_number(key, v))
+}
+
+/// Parses the value of flag `--key`, naming the flag and the value when
+/// it is not a number of the expected type.
+fn parse_number<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, Box<dyn Error>>
+where
+    T::Err: std::fmt::Display,
+{
+    value
+        .parse()
+        .map_err(|e| format!("--{key} {value:?}: {e}").into())
+}
+
+/// Reads a whole file, naming the path when it cannot be read.
+fn read_file(path: &str) -> Result<String, Box<dyn Error>> {
+    std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}").into())
 }
 
 /// Resolves a CLI-side thread-count flag (`--probe-threads`): absent = 1
@@ -568,6 +584,11 @@ fn cmd_net(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     let cols = get_usize(flags, "cols", Some(20))?;
     let pins = get_usize(flags, "pins", Some(5))?;
     let seed = get_u64(flags, "seed", 7)?;
+    for (key, value) in [("rows", rows), ("cols", cols)] {
+        if value == 0 {
+            return Err(format!("--{key} 0 is out of range: a grid needs at least 1").into());
+        }
+    }
     let nodes = rows.saturating_mul(cols);
     if pins == 0 || pins > nodes {
         return Err(format!(
@@ -626,7 +647,7 @@ fn cmd_trace_check(args: &[String]) -> Result<(), Box<dyn Error>> {
     let [path] = args else {
         return Err("trace-check takes exactly one argument: the JSONL file to validate".into());
     };
-    let text = std::fs::read_to_string(path)?;
+    let text = read_file(path)?;
     let mut checked = 0usize;
     let mut records = fpga_route::trace::check::RecordCheck::new();
     for (lineno, line) in text.lines().enumerate() {
@@ -667,7 +688,7 @@ fn cmd_trace_report(args: &[String]) -> Result<(), Box<dyn Error>> {
         std::io::stdin().read_to_string(&mut buf)?;
         buf
     } else {
-        std::fs::read_to_string(path)?
+        read_file(path)?
     };
     let rendered = fpga_route::trace::report::render_report(&text)
         .map_err(|e| format!("{path}: {e}"))?;
@@ -704,8 +725,8 @@ fn cmd_bench_diff(args: &[String]) -> Result<(), Box<dyn Error>> {
     let [before_path, after_path] = paths[..] else {
         return Err("bench-diff takes two positional arguments: <before.json> <after.json>".into());
     };
-    let before = std::fs::read_to_string(before_path)?;
-    let after = std::fs::read_to_string(after_path)?;
+    let before = read_file(before_path)?;
+    let after = read_file(after_path)?;
     let report = fpga_route::trace::report::bench_diff(&before, &after, threshold_pct)?;
     print!("{}", report.rendered);
     if report.regressions.is_empty() {
@@ -949,6 +970,51 @@ mod tests {
         assert!(err.contains("--pins 0") && err.contains("3x4 grid has 12 node(s)"), "{err}");
         // A net may use every node of the grid.
         cmd_net(&flags(&[("rows", "2"), ("cols", "2"), ("pins", "4")])).unwrap();
+    }
+
+    #[test]
+    fn net_command_rejects_a_zero_dimension_by_name() {
+        for (rows, cols, named) in [("0", "3", "--rows 0"), ("3", "0", "--cols 0")] {
+            let err = cmd_net(&flags(&[("rows", rows), ("cols", cols), ("pins", "2")]))
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(named), "{err}");
+            assert!(!err.contains("--pins"), "the dimension is reported first: {err}");
+        }
+    }
+
+    #[test]
+    fn numeric_flag_errors_name_the_flag_and_the_value() {
+        let err = get_usize(&flags(&[("threads", "abc")]), "threads", Some(1))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("--threads") && err.contains("\"abc\""), "{err}");
+        assert!(err.contains("invalid digit"), "keeps the parse error: {err}");
+        let huge = "99999999999999999999";
+        let err = get_usize(&flags(&[("width", huge)]), "width", None)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("--width") && err.contains(huge), "{err}");
+        assert!(err.contains("too large"), "keeps the parse error: {err}");
+        let err = get_u64(&flags(&[("seed", "-1")]), "seed", 1995)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("--seed") && err.contains("\"-1\""), "{err}");
+    }
+
+    #[test]
+    fn file_reading_commands_name_the_missing_path() {
+        let missing = std::env::temp_dir()
+            .join("fpga_route_no_such_file.jsonl")
+            .to_string_lossy()
+            .into_owned();
+        let _ = std::fs::remove_file(&missing);
+        let err = cmd_trace_check(std::slice::from_ref(&missing)).unwrap_err();
+        assert!(err.to_string().contains(&missing), "trace-check: {err}");
+        let err = cmd_trace_report(std::slice::from_ref(&missing)).unwrap_err();
+        assert!(err.to_string().contains(&missing), "trace-report: {err}");
+        let err = cmd_bench_diff(&[missing.clone(), missing.clone()]).unwrap_err();
+        assert!(err.to_string().contains(&missing), "bench-diff: {err}");
     }
 
     #[test]
