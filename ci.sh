@@ -13,6 +13,11 @@ cargo test -q
 echo "==> cargo test --workspace -q (every crate's tests, kernel included)"
 cargo test --workspace -q
 
+echo "==> cargo test routebench -q (benchmark audit and replay self-tests)"
+# routebench is a standalone package outside the workspace, so the
+# workspace run above does not reach its seeded-fault audit tests.
+cargo test --offline --manifest-path routebench/Cargo.toml -q
+
 echo "==> cargo test -p fpga-lint -q (linter self-tests incl. adversarial gate)"
 cargo test -p fpga-lint -q
 
