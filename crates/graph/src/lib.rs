@@ -27,10 +27,11 @@
 //! * [`lowerbound`] — the admissible potentials steering those variants:
 //!   grid-Manhattan bounds for RR-graph-shaped grids and ALT landmark
 //!   tables for general graphs, all in saturating [`Weight`] math.
-//! * [`csr`] — flat compressed-sparse-row adjacency snapshots
-//!   ([`csr::CsrView`]) packing `(neighbor, edge, weight)` into contiguous
-//!   arrays for cache-friendly relaxation sweeps; serves both [`GraphView`]
-//!   and [`OverlayBase`], so per-worker overlays bind over it unchanged.
+//! * [`csr`] — flat compressed-sparse-row adjacency ([`csr::CsrView`])
+//!   packing `(neighbor, edge, weight)` into contiguous per-node lanes for
+//!   cache-friendly relaxation sweeps; mutable in place through
+//!   [`GraphViewMut`] (the rip-up pass graph), and an [`OverlayBase`], so
+//!   per-worker overlays bind over it unchanged.
 //! * [`TerminalDistances`] — the *distance graph* over a net's terminals
 //!   (the complete graph whose edge weights are shortest-path costs in `G`),
 //!   the shared primitive of KMB, ZEL, DOM and the iterated constructions.

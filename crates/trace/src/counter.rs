@@ -41,7 +41,8 @@ pub enum Counter {
     DomConnections,
     /// Whole nets routed (every attempt, speculative or sequential).
     NetsRouted,
-    /// Working-graph clones taken (pass graphs and per-worker snapshots).
+    /// Pass-graph copies taken: one CSR per sequential rip-up pass, one
+    /// working graph per parallel pass or PathFinder run.
     GraphSnapshotClones,
     /// Copy-on-write overlay binds (one per worker per batch wave).
     OverlayBinds,
