@@ -41,54 +41,99 @@ pub struct CompleteMst {
 /// assert_eq!(t.cost, Weight::from_units(3));
 /// ```
 #[must_use]
-#[allow(clippy::needless_range_loop)] // index loops mirror the matrix formulation
 pub fn prim_complete(
     n: usize,
     dist: impl Fn(usize, usize) -> Option<Weight>,
 ) -> Option<CompleteMst> {
-    if n == 0 {
-        return Some(CompleteMst {
-            edges: Vec::new(),
-            cost: Weight::ZERO,
-        });
-    }
-    let mut in_tree = vec![false; n];
-    let mut best: Vec<Option<(Weight, usize)>> = vec![None; n];
     let mut edges = Vec::with_capacity(n.saturating_sub(1));
-    let mut cost = Weight::ZERO;
-    in_tree[0] = true;
-    for j in 1..n {
-        best[j] = dist(0, j).map(|w| (w, 0));
+    let cost = prim_complete_with(n, dist, &mut PrimScratch::default(), |i, j| {
+        edges.push((i, j));
+    })?;
+    Some(CompleteMst { edges, cost })
+}
+
+/// The per-vertex state of [`prim_complete_with`], kept between calls so
+/// a caller pricing many small complete graphs allocates only while the
+/// buffer grows.
+#[derive(Debug, Clone, Default)]
+pub struct PrimScratch {
+    frontier: Vec<Frontier>,
+}
+
+/// One vertex of a running Prim: its cheapest known edge into the tree,
+/// packed into 16 bytes so the per-step scans stay in few cache lines.
+#[derive(Debug, Clone, Copy, Default)]
+struct Frontier {
+    /// Weight of the cheapest known edge into the tree (if `reached`).
+    best: Weight,
+    /// The tree endpoint of that edge.
+    parent: u32,
+    /// Some tree vertex has an edge to this one.
+    reached: bool,
+    /// This vertex is in the tree.
+    joined: bool,
+}
+
+/// [`prim_complete`] on caller-held buffers: reports each tree edge as
+/// `on_edge(i, j)` with `i < j`, in the order Prim adds them, and returns
+/// the tree's saturating cost, or `None` if the graph cannot be spanned.
+/// Screening loops that only need the cost pass a no-op `on_edge` and
+/// allocate nothing once `scratch` has grown to `n`.
+///
+/// # Panics
+///
+/// Panics if `n` exceeds `u32::MAX`.
+pub fn prim_complete_with(
+    n: usize,
+    dist: impl Fn(usize, usize) -> Option<Weight>,
+    scratch: &mut PrimScratch,
+    mut on_edge: impl FnMut(usize, usize),
+) -> Option<Weight> {
+    assert!(u32::try_from(n).is_ok(), "prim_complete_with: {n} vertices");
+    let frontier = &mut scratch.frontier;
+    frontier.clear();
+    frontier.resize(n, Frontier::default());
+    let Some(root) = frontier.first_mut() else {
+        return Some(Weight::ZERO);
+    };
+    root.joined = true;
+    for (j, entry) in frontier.iter_mut().enumerate().skip(1) {
+        if let Some(w) = dist(0, j) {
+            entry.best = w;
+            entry.reached = true;
+        }
     }
+    let mut cost = Weight::ZERO;
     for _ in 1..n {
+        // The strictly cheapest reached outsider, lowest index on ties.
         let mut pick: Option<(Weight, usize)> = None;
-        for (j, entry) in best.iter().enumerate() {
-            if in_tree[j] {
-                continue;
-            }
-            if let Some((w, _)) = entry {
-                if pick.is_none_or(|(pw, _)| *w < pw) {
-                    pick = Some((*w, j));
-                }
+        for (j, entry) in frontier.iter().enumerate() {
+            if entry.reached && !entry.joined && pick.is_none_or(|(pw, _)| entry.best < pw) {
+                pick = Some((entry.best, j));
             }
         }
         let (w, j) = pick?;
-        let (_, parent) = best[j].expect("picked node has a best edge");
-        in_tree[j] = true;
-        edges.push((parent.min(j), parent.max(j)));
+        let parent = frontier[j].parent as usize;
+        frontier[j].joined = true;
+        on_edge(parent.min(j), parent.max(j));
         cost = cost.saturating_add(w);
-        for (k, entry) in best.iter_mut().enumerate() {
-            if in_tree[k] {
+        for (k, entry) in frontier.iter_mut().enumerate() {
+            if entry.joined {
                 continue;
             }
             if let Some(w) = dist(j, k) {
-                if entry.is_none_or(|(ew, _)| w < ew) {
-                    *entry = Some((w, j));
+                if !entry.reached || w < entry.best {
+                    *entry = Frontier {
+                        best: w,
+                        parent: j as u32,
+                        reached: true,
+                        joined: false,
+                    };
                 }
             }
         }
     }
-    Some(CompleteMst { edges, cost })
+    Some(cost)
 }
 
 /// A minimum spanning forest of a subgraph, as produced by
@@ -209,6 +254,32 @@ mod tests {
             ((i != 2) && (j != 2)).then(|| Weight::from_units(1))
         });
         assert!(t.is_none());
+    }
+
+    #[test]
+    fn reused_scratch_matches_fresh_runs() {
+        // One scratch across shrinking and growing sizes, disconnected
+        // inputs included: no state may leak from one call to the next.
+        use crate::rng::Rng;
+        let mut rng = crate::rng::SplitMix64::seed_from_u64(5);
+        let mut scratch = PrimScratch::default();
+        for _ in 0..40 {
+            let n = rng.gen_range(0..9usize);
+            let cut = rng.gen_range(0..12usize);
+            let w: Vec<Vec<u64>> = (0..n)
+                .map(|_| (0..n).map(|_| rng.gen_range(1..9u64)).collect())
+                .collect();
+            let dist = |i: usize, j: usize| {
+                (i != cut && j != cut).then(|| Weight::from_units(w[i.min(j)][i.max(j)]))
+            };
+            let fresh = prim_complete(n, dist);
+            let mut edges = Vec::new();
+            let cost = prim_complete_with(n, dist, &mut scratch, |i, j| edges.push((i, j)));
+            assert_eq!(cost, fresh.as_ref().map(|t| t.cost), "n = {n}, cut = {cut}");
+            if let Some(t) = fresh {
+                assert_eq!(edges, t.edges, "n = {n}");
+            }
+        }
     }
 
     #[test]
