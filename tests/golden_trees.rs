@@ -6,7 +6,8 @@
 //! were captured before the rip-up pass moved onto one in-place CSR and
 //! screening stopped allocating (the `term1`/`9symml` ones already before
 //! the shortest-path kernel's queue was replaced), so any change to what
-//! the router builds fails here.
+//! the router builds fails here. Rip-up routes one net at a time whatever
+//! `threads` says, so the same constants hold at every thread count.
 
 use fpga_route::fpga::synth::{synthesize, xc4000_profiles, CircuitProfile};
 use fpga_route::fpga::width::{minimum_channel_width, WidthSearch};
@@ -17,6 +18,15 @@ const SEED: u64 = 1995;
 
 /// `(tree hash, total wirelength milli, summed max-pathlength milli)`.
 type Golden = (u64, u64, u64);
+
+/// Rip-up `term1` at W=12.
+const TERM1_W12: Golden = (5_658_625_198_576_090_152, 847_000, 593_000);
+
+/// Rip-up `9symml` at W=12.
+const NINE_SYMML_W12: Golden = (14_795_732_482_741_687_242, 859_000, 536_000);
+
+/// Rip-up binary minimum-width search on `term1`: `(width, golden)`.
+const TERM1_MIN_WIDTH: (usize, Golden) = (7, (10_149_248_905_059_025_353, 851_000, 601_000));
 
 /// FNV-1a over each net's index, edge count and sorted edge indices, in
 /// net order.
@@ -63,12 +73,12 @@ fn route(circuit: &str, width: usize, config: RouterConfig) -> Golden {
 
 /// Binary minimum-width search over `3..=24` with a 10-pass rip-up
 /// budget, as the width-search benchmark runs it: `(width, golden)`.
-fn min_width(circuit: &str) -> (usize, Golden) {
+fn min_width(circuit: &str, threads: usize) -> (usize, Golden) {
     let profile = profile(circuit);
     let nets = synthesize(&profile, 2, SEED).expect("synthesizable");
     let config = RouterConfig {
         max_passes: 10,
-        ..ripup()
+        ..ripup_on(threads)
     };
     let found = minimum_channel_width(
         ArchSpec::xilinx4000(profile.rows, profile.cols, 24),
@@ -81,8 +91,12 @@ fn min_width(circuit: &str) -> (usize, Golden) {
 }
 
 fn ripup() -> RouterConfig {
+    ripup_on(1)
+}
+
+fn ripup_on(threads: usize) -> RouterConfig {
     RouterConfig {
-        threads: 1,
+        threads,
         ..RouterConfig::default()
     }
 }
@@ -98,18 +112,12 @@ fn selective_pathfinder(threads: usize) -> RouterConfig {
 
 #[test]
 fn ripup_term1_trees_are_unchanged() {
-    assert_eq!(
-        route("term1", 12, ripup()),
-        (5_658_625_198_576_090_152, 847_000, 593_000)
-    );
+    assert_eq!(route("term1", 12, ripup()), TERM1_W12);
 }
 
 #[test]
 fn ripup_9symml_trees_are_unchanged() {
-    assert_eq!(
-        route("9symml", 12, ripup()),
-        (14_795_732_482_741_687_242, 859_000, 536_000)
-    );
+    assert_eq!(route("9symml", 12, ripup()), NINE_SYMML_W12);
 }
 
 #[test]
@@ -170,18 +178,28 @@ fn ripup_alu2_trees_are_unchanged() {
 
 #[test]
 fn ripup_term1_minimum_width_is_unchanged() {
-    assert_eq!(
-        min_width("term1"),
-        (7, (10_149_248_905_059_025_353, 851_000, 601_000))
-    );
+    assert_eq!(min_width("term1", 1), TERM1_MIN_WIDTH);
 }
 
 #[test]
 fn ripup_9symml_minimum_width_is_unchanged() {
     assert_eq!(
-        min_width("9symml"),
+        min_width("9symml", 1),
         (7, (16_114_340_375_865_499_665, 857_000, 525_000))
     );
+}
+
+#[test]
+fn ripup_trees_do_not_depend_on_the_thread_count() {
+    for threads in [2, 0] {
+        assert_eq!(route("term1", 12, ripup_on(threads)), TERM1_W12, "threads = {threads}");
+        assert_eq!(
+            route("9symml", 12, ripup_on(threads)),
+            NINE_SYMML_W12,
+            "threads = {threads}"
+        );
+    }
+    assert_eq!(min_width("term1", 2), TERM1_MIN_WIDTH);
 }
 
 #[test]
