@@ -37,7 +37,8 @@ pub trait SteinerHeuristic<G: GraphView = Graph>: HeuristicInfo {
     fn construct(&self, g: &G, net: &Net) -> Result<RoutingTree, SteinerError>;
 }
 
-/// Graph-independent identity and read-set contract of an iterated base.
+/// Graph-independent identity and distance-restriction contract of an
+/// iterated base.
 ///
 /// Split off from [`IteratedBase`] for the same reason as
 /// [`HeuristicInfo`]: the iterated template needs the base's name and its

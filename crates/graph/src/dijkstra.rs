@@ -276,30 +276,20 @@ impl ShortestPaths {
         queue: &mut Frontier<E>,
         flags: &mut [bool],
     ) -> Result<ShortestPaths, GraphError> {
-        // Monomorphize the hot loop on the two instrumentation flags so
-        // the common disabled/disabled case carries no tally counters, no
-        // read buffer, and no branches — the relaxation loop is the
-        // router's hottest path and even well-predicted branches there
-        // are measurable in the timing bench.
-        match (route_trace::enabled(), crate::readset::is_active()) {
-            (false, false) => {
-                Self::settle::<G, P, E, false, false>(g, source, potential, missing, queue, flags)
-            }
-            (false, true) => {
-                Self::settle::<G, P, E, false, true>(g, source, potential, missing, queue, flags)
-            }
-            (true, false) => {
-                Self::settle::<G, P, E, true, false>(g, source, potential, missing, queue, flags)
-            }
-            (true, true) => {
-                Self::settle::<G, P, E, true, true>(g, source, potential, missing, queue, flags)
-            }
+        // Monomorphize the hot loop on the instrumentation flag so the
+        // common untraced case carries no tally counters and no branches —
+        // the relaxation loop is the router's hottest path and even
+        // well-predicted branches there are measurable in the timing bench.
+        if route_trace::enabled() {
+            Self::settle::<G, P, E, true>(g, source, potential, missing, queue, flags)
+        } else {
+            Self::settle::<G, P, E, false>(g, source, potential, missing, queue, flags)
         }
     }
 
     /// The relaxation loop. Settles nodes in key order until the queue
     /// empties or the last of `missing` flagged targets settles.
-    fn settle<G: GraphView, P: Potential, E: Entry, const TRACED: bool, const RECORDING: bool>(
+    fn settle<G: GraphView, P: Potential, E: Entry, const TRACED: bool>(
         g: &G,
         source: NodeId,
         potential: &P,
@@ -319,11 +309,6 @@ impl ShortestPaths {
         let mut pops = 0u64;
         let mut relaxations = 0u64;
         let mut pushes = 0u64;
-        // Read-set recording for speculative routing: every settled node
-        // and every relaxed neighbor is a node whose liveness or incident
-        // edge weights this run observed. Same local-buffer discipline as
-        // the counters above.
-        let mut reads: Vec<NodeId> = Vec::new();
         let n = g.node_count();
         let mut dist: Vec<Weight> = vec![Weight::ZERO; n];
         let mut parent: Vec<(u32, u32)> = vec![NO_PARENT; n];
@@ -351,9 +336,6 @@ impl ShortestPaths {
                 pops += 1;
             }
             let v = NodeId::from_index(vi);
-            if RECORDING {
-                reads.push(v);
-            }
             if flags[vi] {
                 flags[vi] = false;
                 missing -= 1;
@@ -364,9 +346,6 @@ impl ShortestPaths {
             for (u, e, w) in g.neighbors(v) {
                 if TRACED {
                     relaxations += 1;
-                }
-                if RECORDING {
-                    reads.push(u);
                 }
                 let ui = u.index();
                 // Saturate: near-`Weight::MAX` congestion weights must rank
@@ -416,9 +395,6 @@ impl ShortestPaths {
                 route_trace::record_duration(route_trace::Metric::DijkstraRunNs, ns);
                 route_trace::record_duration(route_trace::Metric::KernelQueryNs, ns);
             }
-        }
-        if RECORDING {
-            crate::readset::extend(&reads);
         }
         Ok(ShortestPaths {
             source,
@@ -510,8 +486,6 @@ pub struct KernelScratch {
     /// `dist[i]` is meaningful iff `dist_stamp[i] == stamp`.
     dist_stamp: Vec<u64>,
     dist: Vec<Weight>,
-    /// Read-set buffer reused across recorded queries.
-    reads: Vec<NodeId>,
 }
 
 impl KernelScratch {
@@ -567,8 +541,8 @@ pub fn minpath_guided<G: GraphView, P: Potential>(
         .ok_or(GraphError::Disconnected { from: u, to: v })
 }
 
-/// Allocation-free variant of [`minpath`] over a scratch arena: the queue,
-/// distance array, and read buffer are reused across queries, and no
+/// Allocation-free variant of [`minpath`] over a scratch arena: the queue
+/// and distance array are reused across queries, and no
 /// `ShortestPaths` table is materialized. Returns exactly what [`minpath`]
 /// returns for the same arguments.
 ///
@@ -585,7 +559,6 @@ pub fn minpath_with<G: GraphView>(
     g.require_live_node(v)?;
     g.require_live_node(u)?;
     let traced = route_trace::enabled();
-    let recording = crate::readset::is_active();
     let started = if traced {
         Some(std::time::Instant::now())
     } else {
@@ -599,11 +572,9 @@ pub fn minpath_with<G: GraphView>(
         plain: queue,
         dist_stamp,
         dist,
-        reads,
         ..
     } = scratch;
     queue.clear();
-    reads.clear();
     let mut pops = 0u64;
     let mut relaxations = 0u64;
     let mut pushes = 1u64;
@@ -619,18 +590,12 @@ pub fn minpath_with<G: GraphView>(
             continue;
         }
         pops += 1;
-        if recording {
-            reads.push(NodeId::from_index(vi));
-        }
         if vi == v.index() {
             found = Some(d);
             break;
         }
         for (w_node, _, w) in g.neighbors(NodeId::from_index(vi)) {
             relaxations += 1;
-            if recording {
-                reads.push(w_node);
-            }
             let wi = w_node.index();
             let nd = d.saturating_add(w);
             if dist_stamp[wi] != stamp || nd < dist[wi] {
@@ -651,9 +616,6 @@ pub fn minpath_with<G: GraphView>(
             route_trace::record_duration(route_trace::Metric::DijkstraRunNs, ns);
             route_trace::record_duration(route_trace::Metric::KernelQueryNs, ns);
         }
-    }
-    if recording {
-        crate::readset::extend(reads);
     }
     found.ok_or(GraphError::Disconnected { from: u, to: v })
 }

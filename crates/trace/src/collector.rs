@@ -54,7 +54,7 @@ struct Shared {
     /// Once-per-iteration PathFinder convergence records; rare, so they
     /// go straight to the shared side like snapshots.
     convergence: Mutex<Vec<ConvergenceRecord>>,
-    /// Once-per-worker-per-pass scheduler timelines; same rarity rule.
+    /// Once-per-worker-per-iteration route-phase timelines; same rarity rule.
     timelines: Mutex<Vec<TimelineRecord>>,
     /// `true` when `stream` holds a sink — checked (relaxed) before
     /// taking the stream lock so non-streaming sessions pay one atomic
@@ -276,8 +276,8 @@ pub fn record_convergence(record: ConvergenceRecord) {
     }
 }
 
-/// Records one scheduler participant's per-pass timeline. Once per
-/// worker per pass, so it goes straight to the shared store.
+/// Records one route-phase worker's per-iteration timeline. Once per
+/// worker per iteration, so it goes straight to the shared store.
 pub fn record_timeline(record: TimelineRecord) {
     if !enabled() {
         return;

@@ -20,7 +20,7 @@
 //! latency **histograms** ([`record_duration`], [`Metric`]) and
 //! **gauges** ([`set_gauge`], [`Gauge`]) merged per-worker exactly like
 //! counters, per-iteration PathFinder **convergence records**
-//! ([`record_convergence`]), per-worker scheduler **timelines**
+//! ([`record_convergence`]), per-worker route-phase **timelines**
 //! ([`record_timeline`]), and a post-hoc **self-profiler**
 //! ([`ProfileEntry`]) attributing wall-clock to the span hierarchy.
 //! [`report`] renders all of it as text tables and diffs benchmark

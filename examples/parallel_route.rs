@@ -1,18 +1,20 @@
-//! Route the same circuit with the sequential and the parallel engine and
-//! show they agree bit-for-bit, along with the per-pass batching counters.
+//! The router's two kinds of parallelism, each bit-identical to its
+//! one-thread run.
 //!
-//! The parallel engine (`RouterConfig::threads >= 2`) splits each pass
-//! into batches of spatially disjoint nets, routes a batch speculatively
-//! on scoped worker threads against a snapshot of the pass graph, and
-//! commits in order with conflict detection — so its results are
-//! indistinguishable from the sequential router's.
+//! * PathFinder (`RouteMode::Pathfinder`) splits every iteration's route
+//!   phase across `RouterConfig::threads` workers. Each net routes
+//!   against the same priced snapshot, so the worker count never changes
+//!   a tree.
+//! * Rip-up routes one net at a time, as the paper does. Its parallel
+//!   form is the width search, which runs whole probes at different
+//!   channel widths concurrently.
 //!
 //! Run with: `cargo run --release --example parallel_route [threads] [width]`
-//! (widths that are too narrow show the engines agreeing on failure too).
+//! (widths that are too narrow show both runs agreeing on failure too).
 
 use fpga_route::fpga::synth::{synthesize, xc4000_profiles};
-use fpga_route::fpga::width::minimum_channel_width_parallel;
-use fpga_route::fpga::{ArchSpec, Device, Router, RouterConfig};
+use fpga_route::fpga::width::{minimum_channel_width, minimum_channel_width_parallel, WidthSearch};
+use fpga_route::fpga::{ArchSpec, Device, RouteMode, Router, RouterConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let threads: usize = std::env::args()
@@ -32,60 +34,45 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let circuit = synthesize(&profile, 2, 1995)?;
     let device = Device::new(ArchSpec::xilinx4000(profile.rows, profile.cols, width))?;
 
-    let sequential = Router::new(&device, RouterConfig::default()).route(&circuit);
-    let parallel = Router::new(
-        &device,
-        RouterConfig {
-            threads,
-            ..RouterConfig::default()
-        },
-    )
-    .route(&circuit);
-
+    let pathfinder = |threads| RouterConfig {
+        mode: RouteMode::Pathfinder,
+        pf_selective: true,
+        threads,
+        ..RouterConfig::default()
+    };
+    let one = Router::new(&device, pathfinder(1)).route(&circuit);
+    let many = Router::new(&device, pathfinder(threads)).route(&circuit);
     println!(
-        "{}: {} nets, W = {width}, threads = {threads}",
+        "{}: {} nets, W = {width}, selective PathFinder on 1 and {threads} thread(s)",
         circuit.name(),
         circuit.net_count()
     );
-    match (sequential, parallel) {
-        (Ok(sequential), Ok(parallel)) => {
+    match (one, many) {
+        (Ok(one), Ok(many)) => {
+            assert_eq!(one.trees, many.trees);
             println!(
-                "sequential: {} passes, wirelength {}",
-                sequential.passes, sequential.total_wirelength
+                "both converge in {} iteration(s), wirelength {}; trees identical",
+                many.passes, many.total_wirelength
             );
-            println!(
-                "parallel:   {} passes, wirelength {}",
-                parallel.passes, parallel.total_wirelength
-            );
-            assert_eq!(sequential.trees, parallel.trees);
-            println!("routed trees are identical: true");
-            for t in &parallel.telemetry.passes {
+            for t in &many.telemetry.passes {
                 println!(
-                    "  pass {}: {:>4} batches, {:>3} speculated, {:>3} accepted, {:>3} rerouted, {:.1?}, max occupancy {}/{}",
-                    t.pass,
-                    t.batches,
-                    t.speculated,
-                    t.accepted,
-                    t.rerouted,
-                    t.elapsed,
-                    t.congestion.max_occupancy,
-                    t.congestion.channel_width
+                    "  iteration {:>2}: {:>3} dirty, {:>3} rerouted, {:>3} over capacity, {:.1?}",
+                    t.pass, t.dirty_nets, t.nets_rerouted, t.overcapacity, t.elapsed
                 );
             }
         }
-        (Err(s), Err(p)) => {
-            println!("both engines report unroutable at W = {width}:");
-            println!("  sequential: {s}");
-            println!("  parallel:   {p}");
+        (Err(a), Err(b)) => {
+            println!("both report unroutable at W = {width}:");
+            println!("  1 thread:          {a}");
+            println!("  {threads} thread(s): {b}");
         }
-        (seq, par) => {
-            panic!("engines disagree: sequential {seq:?} vs parallel {par:?}");
-        }
+        (a, b) => panic!("thread counts disagree: {a:?} vs {b:?}"),
     }
 
-    // The width search can probe channel widths concurrently too.
+    // Rip-up width search: the sequential binary search and the parallel
+    // probe waves find the same minimum width.
     let base = ArchSpec::xilinx4000(profile.rows, profile.cols, 4);
-    let found = minimum_channel_width_parallel(base, 4..=16, threads, |device| {
+    let ripup = |device: &Device| {
         Router::new(
             device,
             RouterConfig {
@@ -94,10 +81,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             },
         )
         .route(&circuit)
-    })?;
+    };
+    let sequential = minimum_channel_width(base, 4..=16, WidthSearch::Binary, ripup)?;
+    let parallel = minimum_channel_width_parallel(base, 4..=16, threads, ripup)?;
+    assert_eq!(sequential.channel_width, parallel.channel_width);
     println!(
-        "minimum channel width: {} ({} probe attempts)",
-        found.channel_width, found.attempts
+        "rip-up minimum channel width: {} ({} sequential probes, {} parallel probes)",
+        parallel.channel_width, sequential.attempts, parallel.attempts
     );
     Ok(())
 }
