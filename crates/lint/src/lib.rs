@@ -1,11 +1,11 @@
 //! `fpga-lint` — a zero-dependency invariant checker for this workspace.
 //!
-//! The router's bit-identity guarantee under speculation rides on
-//! hand-maintained disciplines that the compiler cannot see: every
-//! shortest-path computation must be recorded into the thread-local
-//! read set, `SharedPassGraph` mutation must stay on the scheduler's
-//! commit paths, `Weight` arithmetic must saturate, hot paths must not
-//! panic, and the telemetry surface must stay documented. Each rule
+//! The router's bit-identity guarantee across thread counts rides on
+//! hand-maintained disciplines that the compiler cannot see: snapshot
+//! repricing must stay on PathFinder's single-writer cost update, the
+//! hot-path cone must be free of nondeterminism sources, `Weight`
+//! arithmetic must saturate, hot paths must not panic, and the
+//! telemetry surface must stay documented. Each rule
 //! here mechanically enforces one of those disciplines over the raw
 //! token stream (see [`lexer`]) and fails CI with `file:line`
 //! diagnostics when a call site drifts.
@@ -47,14 +47,9 @@ pub struct RuleInfo {
 /// Every rule the linter knows.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        name: rules::readset::RULE,
-        code: "FL001",
-        what: "Dijkstra/distance-graph entry points may only be called from readset-recording modules",
-    },
-    RuleInfo {
         name: rules::commit_path::RULE,
         code: "FL002",
-        what: "shared-graph write handles and snapshot repricing stay on single-writer commit paths",
+        what: "snapshot repricing stays on the PathFinder single-writer cost update",
     },
     RuleInfo {
         name: rules::weights::RULE,
@@ -94,7 +89,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: rules::determinism::RULE_THREAD,
         code: "FL012",
-        what: "thread identity or worker-index branching outside the scheduler assignment layer",
+        what: "thread identity or worker-index branching in hot-path-cone code",
     },
     RuleInfo {
         name: rules::determinism::RULE_FLOAT,
@@ -243,7 +238,6 @@ fn lint_tokens(
         scope,
     };
     let mut diags = Vec::new();
-    diags.extend(rules::readset::check(&ctx));
     diags.extend(rules::commit_path::check(&ctx));
     diags.extend(rules::weights::check(&ctx));
     diags.extend(rules::hygiene::check(&ctx));
@@ -321,7 +315,7 @@ pub fn lint_workspace_report(root: &Path) -> std::io::Result<WorkspaceReport> {
                     "hot-path entry point `{name}` not found — the cone lost an anchor"
                 ),
                 hint: "re-pin the renamed/moved entry point in callgraph::ENTRY_POINTS so \
-                       cone-scoped rules keep covering the parallel route phases"
+                       cone-scoped rules keep covering the route passes"
                     .to_string(),
             }
         })

@@ -42,13 +42,8 @@ fn order_nets(pending: &HashMap<u32, Net>) -> Vec<u32> {
 /// Stubs for the other pinned entry points, so the scratch workspace
 /// carries no `determinism-cone` (missing anchor) diagnostics and the
 /// only difference between bad and good runs is the seeded bug.
-const PARALLEL_STUB: &str = "
-pub fn route_pass_parallel() {}
-pub fn speculate() {}
-pub fn commit_one() {}
-";
-const SCHED_STUB: &str = "
-pub fn route_pass_wavefront() {}
+const ROUTER_STUB: &str = "
+pub fn route_pass() {}
 ";
 const DIJKSTRA_STUB: &str = "
 pub fn run() {}
@@ -64,6 +59,11 @@ struct Scratch {
 
 impl Scratch {
     fn build(tag: &str, pathfinder: &str) -> Self {
+        Self::build_with(tag, pathfinder, ROUTER_STUB)
+    }
+
+    /// Like [`build`](Self::build) with a chosen `router.rs` body.
+    fn build_with(tag: &str, pathfinder: &str, router: &str) -> Self {
         let root = std::env::temp_dir().join(format!(
             "fpga_lint_adversarial_{}_{tag}",
             std::process::id()
@@ -71,8 +71,7 @@ impl Scratch {
         let _ = std::fs::remove_dir_all(&root);
         for (rel, body) in [
             ("crates/fpga/src/pathfinder.rs", pathfinder),
-            ("crates/fpga/src/parallel.rs", PARALLEL_STUB),
-            ("crates/fpga/src/sched.rs", SCHED_STUB),
+            ("crates/fpga/src/router.rs", router),
             ("crates/graph/src/dijkstra.rs", DIJKSTRA_STUB),
         ] {
             let path = root.join(rel);
@@ -142,6 +141,20 @@ fn seeded_bug_shows_up_in_json_with_code_and_snippet() {
         "snippet quotes the offending line:\n{stdout}"
     );
     assert!(stdout.contains("\"summary\":{\"determinism-hash-iter\":1}"), "{stdout}");
+}
+
+#[test]
+fn a_missing_entry_point_fails_the_gate_as_a_shrunk_cone() {
+    // The rip-up pass renamed away: its anchor no longer resolves, so the
+    // cone would silently lose everything only it reaches.
+    let renamed = Scratch::build_with("anchor", PATHFINDER_GOOD, "pub fn route_pass_v2() {}\n");
+    let (code, stdout, _stderr) = run_lint(&renamed.root, &["--json"]);
+    assert_eq!(code, Some(1), "a lost anchor must fail the gate:\n{stdout}");
+    assert!(stdout.contains("\"code\":\"FL014\""), "stable rule code:\n{stdout}");
+    assert!(
+        stdout.contains("`route_pass` not found"),
+        "diagnostic names the missing entry point:\n{stdout}"
+    );
 }
 
 #[test]

@@ -1,7 +1,7 @@
-//! Fixture: publishing to the shared pass graph from outside the
-//! scheduler commit paths. Linted as `crates/fpga/src/commit_escape.rs`;
+//! Fixture: repricing a routing snapshot from outside the PathFinder
+//! cost-update phase. Linted as `crates/fpga/src/commit_escape.rs`;
 //! must fire `commit-path-mutation` exactly once.
 
-pub fn sneak_commit(shared: &SharedPassGraph, seq: u64) {
-    shared.publish(seq);
+pub fn sneak_reprice(priced: &mut Graph) {
+    priced.reprice_edges(|_, _, _, w| w);
 }
