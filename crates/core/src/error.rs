@@ -13,7 +13,7 @@ pub enum SteinerError {
     Graph(GraphError),
     /// A net listed the same pin twice (or a sink equal to the source).
     DuplicatePin(NodeId),
-    /// A net had no pins at all.
+    /// A net had fewer than two pins (a source and at least one sink).
     EmptyNet,
     /// The edge set handed to [`RoutingTree`](crate::RoutingTree) contained
     /// a cycle.
@@ -38,7 +38,7 @@ impl fmt::Display for SteinerError {
         match self {
             SteinerError::Graph(e) => write!(f, "graph error: {e}"),
             SteinerError::DuplicatePin(n) => write!(f, "pin {n} appears more than once in the net"),
-            SteinerError::EmptyNet => write!(f, "net has no pins"),
+            SteinerError::EmptyNet => write!(f, "a net needs at least two pins"),
             SteinerError::CycleInTree => write!(f, "edge set contains a cycle"),
             SteinerError::ForestNotTree => write!(f, "edge set forms a disconnected forest"),
             SteinerError::MissingTerminal(n) => write!(f, "tree does not span terminal {n}"),
