@@ -157,3 +157,41 @@ fn bigger_candidate_pools_never_hurt() {
         assert!(free.cost() <= restricted.cost(), "seed {seed}");
     }
 }
+
+/// A pool-restricted ZEL or PFA scan whose explicit pool covers every
+/// node sees the same candidates as the unrestricted scan, so it must
+/// build a tree of the same cost. The grid carries seeded congestion
+/// noise so shortest paths are not axis-aligned ties.
+#[test]
+fn restricted_zel_and_pfa_still_match_their_unrestricted_trees() {
+    use fpga_route::steiner::{CandidatePool, Zel};
+    let mut grid = GridGraph::new(28, 28, Weight::UNIT).unwrap();
+    let mut rng = SplitMix64::seed_from_u64(1995);
+    let edges: Vec<_> = grid.graph().edge_ids().collect();
+    for e in edges {
+        let noise = rng.gen_range(0..400u64);
+        grid.graph_mut()
+            .set_weight(e, Weight::from_milli(1000 + noise))
+            .unwrap();
+    }
+    let net = Net::new(
+        grid.node_at(2, 2).unwrap(),
+        vec![
+            grid.node_at(8, 5).unwrap(),
+            grid.node_at(5, 8).unwrap(),
+            grid.node_at(8, 8).unwrap(),
+        ],
+    )
+    .unwrap();
+    let all: Vec<_> = grid.graph().node_ids().collect();
+    let zel_full = Zel::new().construct(grid.graph(), &net).unwrap();
+    let zel_pool = Zel::with_pool(CandidatePool::Explicit(all.clone()))
+        .construct(grid.graph(), &net)
+        .unwrap();
+    assert_eq!(zel_full.cost(), zel_pool.cost());
+    let pfa_full = Pfa::new().construct(grid.graph(), &net).unwrap();
+    let pfa_pool = Pfa::with_pool(CandidatePool::Explicit(all))
+        .construct(grid.graph(), &net)
+        .unwrap();
+    assert_eq!(pfa_full.cost(), pfa_pool.cost());
+}
