@@ -1,5 +1,5 @@
 //! Golden routing identity: the nine Table 5 circuits at seed 1995,
-//! routed by rip-up, plus a selective PathFinder run and two rip-up
+//! routed by rip-up, plus PathFinder runs at W=9 and two rip-up
 //! minimum-width searches, must keep producing exactly the same trees.
 //! Each outcome is reduced to a stable hash of every net's sorted edge
 //! list plus its total wirelength and pathlength. The rip-up constants
@@ -8,6 +8,11 @@
 //! the shortest-path kernel's queue was replaced), so any change to what
 //! the router builds fails here. Rip-up routes one net at a time whatever
 //! `threads` says, so the same constants hold at every thread count.
+//! The PathFinder constants cover selective mode on the four circuits
+//! of the `pf_selective` benchmark and full (non-selective) mode on
+//! `term1`; each holds on one and on two route-phase workers. The
+//! `9symml`, `apex7`, `alu2` and full-mode ones were captured before
+//! the route phase stopped routing through copy-on-write overlays.
 
 use fpga_route::fpga::synth::{synthesize, xc4000_profiles, CircuitProfile};
 use fpga_route::fpga::width::{minimum_channel_width, WidthSearch};
@@ -103,10 +108,24 @@ fn ripup_on(threads: usize) -> RouterConfig {
 
 fn selective_pathfinder(threads: usize) -> RouterConfig {
     RouterConfig {
-        mode: RouteMode::Pathfinder,
         pf_selective: true,
+        ..full_pathfinder(threads)
+    }
+}
+
+fn full_pathfinder(threads: usize) -> RouterConfig {
+    RouterConfig {
+        mode: RouteMode::Pathfinder,
         threads,
         ..RouterConfig::default()
+    }
+}
+
+/// Asserts that PathFinder routes `circuit` at W=9 to `golden` on one
+/// and on two route-phase workers.
+fn assert_pathfinder_w9(circuit: &str, config: fn(usize) -> RouterConfig, golden: Golden) {
+    for threads in [1, 2] {
+        assert_eq!(route(circuit, 9, config(threads)), golden, "threads = {threads}");
     }
 }
 
@@ -204,11 +223,45 @@ fn ripup_trees_do_not_depend_on_the_thread_count() {
 
 #[test]
 fn selective_pathfinder_term1_trees_are_unchanged_on_one_and_two_threads() {
-    for threads in [1, 2] {
-        assert_eq!(
-            route("term1", 9, selective_pathfinder(threads)),
-            (264_155_666_393_080_907, 904_000, 645_000),
-            "threads = {threads}"
-        );
-    }
+    assert_pathfinder_w9(
+        "term1",
+        selective_pathfinder,
+        (264_155_666_393_080_907, 904_000, 645_000),
+    );
+}
+
+#[test]
+fn selective_pathfinder_9symml_trees_are_unchanged_on_one_and_two_threads() {
+    assert_pathfinder_w9(
+        "9symml",
+        selective_pathfinder,
+        (2_912_660_040_727_713_233, 911_000, 576_000),
+    );
+}
+
+#[test]
+fn selective_pathfinder_apex7_trees_are_unchanged_on_one_and_two_threads() {
+    assert_pathfinder_w9(
+        "apex7",
+        selective_pathfinder,
+        (12_135_435_783_063_039_702, 1_186_000, 874_000),
+    );
+}
+
+#[test]
+fn selective_pathfinder_alu2_trees_are_unchanged_on_one_and_two_threads() {
+    assert_pathfinder_w9(
+        "alu2",
+        selective_pathfinder,
+        (10_364_810_069_672_963_243, 1_895_000, 1_216_000),
+    );
+}
+
+#[test]
+fn full_pathfinder_term1_trees_are_unchanged_on_one_and_two_threads() {
+    assert_pathfinder_w9(
+        "term1",
+        full_pathfinder,
+        (15_859_679_637_842_405_066, 930_000, 701_000),
+    );
 }
