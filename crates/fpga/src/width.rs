@@ -196,8 +196,9 @@ pub fn minimum_channel_width_parallel(
         let mut results: Vec<Option<Result<RouteOutcome, FpgaError>>> =
             (0..widths.len()).map(|_| None).collect();
         // Probe workers adopt the search span so their attempt spans (and
-        // everything beneath) nest correctly; their trace buffers merge
-        // into the collector when the wave's scope joins.
+        // everything beneath) nest correctly, and flush their trace
+        // buffers before returning: the scope's return does not wait for
+        // the exit merge in their thread-local destructors.
         let parent_span = route_trace::current_span();
         std::thread::scope(|scope| {
             let probe = &probe;
@@ -205,6 +206,7 @@ pub fn minimum_channel_width_parallel(
                 scope.spawn(move || {
                     route_trace::adopt_parent(parent_span);
                     *slot = Some(probe(w));
+                    route_trace::flush_thread();
                 });
             }
         });

@@ -8,14 +8,22 @@
 //!    (Dijkstra relaxations) stay at hardware speed.
 //! 2. **No contention when enabled.** Spans and counters land in a
 //!    per-thread buffer ([`LocalBuf`]); the shared state is touched only
-//!    when a buffer flushes — at thread exit for the parallel engine's
-//!    scoped workers (i.e. at batch commit, when the scope joins) and at
-//!    [`Collector::finish`] for the installing thread. Congestion
+//!    when a buffer flushes — on [`flush_thread`], when a thread exits,
+//!    and at [`Collector::finish`] for the installing thread. Congestion
 //!    snapshots are once-per-pass, so they go straight to the shared side.
-//! 3. **Sound under worker churn.** The parallel engine spawns fresh
-//!    scoped threads per batch. Buffers attach lazily (first event) and
-//!    carry a generation stamp, so a stale buffer from a previous
-//!    collector session can never pollute the current one.
+//! 3. **Sound under worker churn.** PathFinder's route phase and the
+//!    parallel width search spawn fresh scoped threads per iteration or
+//!    probe wave. Buffers attach lazily (first event) and carry a
+//!    generation stamp, so a stale buffer from a previous collector
+//!    session can never pollute the current one.
+//!
+//! A worker's exit merge runs in its thread-local destructor, which
+//! `std::thread::scope` does *not* wait for: the scope returns once each
+//! worker's closure has returned, possibly before its destructors ran.
+//! Only a real join ([`std::thread::ScopedJoinHandle::join`]) orders the
+//! merge before the joining thread goes on, so a worker whose events
+//! must be in the next [`Collector::finish`] is either joined explicitly
+//! or calls [`flush_thread`] before it returns.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -192,9 +200,11 @@ impl LocalBuf {
 }
 
 impl Drop for LocalBuf {
-    /// Worker threads (the parallel engine's scoped workers) exit when
-    /// their batch scope joins — right at commit time — and this drop is
-    /// what merges their buffers into the shared collector.
+    /// Merges a worker thread's unflushed events into the shared
+    /// collector when the thread exits. This runs among the thread's
+    /// local destructors, after its closure returned: a
+    /// [`ScopedJoinHandle::join`](std::thread::ScopedJoinHandle::join)
+    /// waits for it, the return of `std::thread::scope` does not.
     fn drop(&mut self) {
         self.flush();
     }
@@ -674,13 +684,21 @@ mod tests {
         let pass = span(SpanKind::Pass, "pass", 1);
         let parent = pass.id();
         std::thread::scope(|scope| {
-            for worker in 0..4u64 {
-                let parent = current_span();
-                scope.spawn(move || {
-                    adopt_parent(parent);
-                    let _net = span(SpanKind::Net, "net", worker);
-                    count(Counter::NetsRouted, 1);
-                });
+            let workers: Vec<_> = (0..4u64)
+                .map(|worker| {
+                    let parent = current_span();
+                    scope.spawn(move || {
+                        adopt_parent(parent);
+                        let _net = span(SpanKind::Net, "net", worker);
+                        count(Counter::NetsRouted, 1);
+                    })
+                })
+                .collect();
+            // No explicit flush: the buffers merge in the workers'
+            // thread-local destructors, which the scope's own return
+            // does not wait for but a join does.
+            for worker in workers {
+                worker.join().unwrap();
             }
         });
         drop(pass);
