@@ -971,6 +971,19 @@ mod tests {
     }
 
     #[test]
+    fn route_command_rejects_a_device_too_large_for_node_ids() {
+        let err = cmd_route(&flags(&[
+            ("circuit", "term1"),
+            ("arch", "4000"),
+            ("width", "99999999999"),
+        ]))
+        .unwrap_err()
+        .to_string();
+        assert!(err.contains("invalid architecture"), "{err}");
+        assert!(err.contains("32-bit node ids"), "{err}");
+    }
+
+    #[test]
     fn width_command_rejects_a_bad_range_by_name() {
         for (min, max, why) in [("0", "3", "at least 1 track"), ("9", "3", "empty range")] {
             let err = cmd_width(&flags(&[("circuit", "term1"), ("min", min), ("max", max)]))
