@@ -445,9 +445,9 @@ impl<'d> Router<'d> {
     /// hidden; before a net is routed its own pins are revealed and their
     /// edges priced (see [`reveal_pins`](Router::reveal_pins)), and after
     /// it is routed they are hidden again, so no foreign pin ever enters
-    /// a live lane and [`route_net`](Router::route_net)'s pin mask finds
-    /// nothing to hide. The commit then removes the tree and reprices the
-    /// segment edges around it in the same view.
+    /// a live lane (the precondition of [`route_net`](Router::route_net)).
+    /// The commit then removes the tree and reprices the segment edges
+    /// around it in the same view.
     fn route_pass(
         &self,
         circuit: &Circuit,
@@ -523,12 +523,16 @@ impl<'d> Router<'d> {
         Ok(())
     }
 
-    /// Routes a single net against the current pass graph: masks foreign
-    /// pins, runs the configured construction on `g`, and restores the
-    /// masked pins. `Ok(None)` reports an unroutable (disconnected) net;
-    /// the graph is left exactly as it was on entry either way. In the
-    /// rip-up pass `g` is the pass [`CsrView`], whose foreign pins are
-    /// already hidden.
+    /// Routes a single net against the current pass graph by running the
+    /// configured construction on `g`. `Ok(None)` reports an unroutable
+    /// (disconnected) net; the graph is left exactly as it was on entry
+    /// either way.
+    ///
+    /// `g` must hide every logic-block pin but the net's own, so no route
+    /// passes *through* a foreign pin (a pin cannot electrically join two
+    /// channel tracks). Both callers route on a [`CsrView`] whose pins
+    /// start hidden and reveal only the net's own: the rip-up pass and
+    /// each PathFinder route-phase worker.
     pub(crate) fn route_net<G: GraphViewMut>(
         &self,
         g: &mut G,
@@ -543,9 +547,7 @@ impl<'d> Router<'d> {
         } else {
             None
         };
-        let terminals = circuit.net_terminals(self.device, ni)?;
-        let masked = mask_foreign_pins(g, self.device, &terminals)?;
-        let net = Net::from_terminals(terminals)?;
+        let net = Net::from_terminals(circuit.net_terminals(self.device, ni)?)?;
         let algorithm = match (critical[ni], self.config.critical_algorithm) {
             (true, Some(algo)) => algo,
             _ => self.config.algorithm,
@@ -565,7 +567,6 @@ impl<'d> Router<'d> {
                 u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
             );
         }
-        unmask_pins(g, &masked)?;
         match result {
             Ok(tree) => Ok(Some(tree)),
             Err(SteinerError::Graph(GraphError::Disconnected { .. })) => Ok(None),
@@ -740,7 +741,8 @@ fn promote_to_front(order: &mut [usize], index_of: &mut [usize], ni: usize) {
 ///
 /// * there are too few nets to split across workers (fewer than 8), or
 /// * the routing graph is so small (under 2000 live nodes) that each
-///   net routes faster than a worker spawns and binds its overlay, or
+///   net routes faster than a worker spawns and copies its view of the
+///   priced graph, or
 /// * the circuit is a **few-large-nets** shape — fewer than 32 nets
 ///   averaging 8+ pins each. The phase's work then sits in a handful of
 ///   high-fan-in nets, and the worker dealt the largest of them bounds
@@ -767,33 +769,6 @@ pub fn auto_thread_count(
         return 1;
     }
     available.max(1)
-}
-
-/// Temporarily removes every logic-block pin that does not belong to the
-/// net being routed, so no route can pass *through* a foreign pin (a pin
-/// cannot electrically join two channel tracks). Returns the masked pins
-/// for restoration after the net is handled.
-pub(crate) fn mask_foreign_pins<G: GraphViewMut>(
-    g: &mut G,
-    device: &Device,
-    keep: &[NodeId],
-) -> Result<Vec<NodeId>, FpgaError> {
-    let mut masked = Vec::new();
-    for pin in device.pin_nodes() {
-        if g.is_node_live(pin) && !keep.contains(&pin) {
-            g.remove_node(pin)?;
-            masked.push(pin);
-        }
-    }
-    Ok(masked)
-}
-
-/// Restores pins hidden by [`mask_foreign_pins`].
-pub(crate) fn unmask_pins<G: GraphViewMut>(g: &mut G, masked: &[NodeId]) -> Result<(), FpgaError> {
-    for &pin in masked {
-        g.restore_node(pin)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

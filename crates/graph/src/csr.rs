@@ -1,13 +1,13 @@
 //! Flat-CSR adjacency for cache-conscious kernel iteration.
 //!
-//! [`Graph`](crate::Graph) stores one heap-allocated adjacency `Vec` per
-//! node, so a Dijkstra relaxation sweep hops between scattered
-//! allocations and re-checks liveness flags per entry. [`CsrView`] packs
-//! the *raw* adjacency (tombstones included, insertion order — the
-//! [`OverlayBase`] surface) into one contiguous compressed-sparse-row
-//! arena, and each node's usable `(neighbor, edge, weight)` triples, in
-//! the same order, into a *live lane* of a second flat array. The
-//! relaxation hot loop is a branch-free walk over sequential triples.
+//! [`Graph`] stores one heap-allocated adjacency `Vec` per node, so a
+//! Dijkstra relaxation sweep hops between scattered allocations and
+//! re-checks liveness flags per entry. [`CsrView`] packs the graph's
+//! *raw* adjacency (tombstones included, insertion order) into one
+//! contiguous compressed-sparse-row arena, and each node's usable
+//! `(neighbor, edge, weight)` triples, in the same order, into a *live
+//! lane* of a second flat array. The relaxation hot loop is a
+//! branch-free walk over sequential triples.
 //!
 //! The view is also mutable in place ([`GraphViewMut`]): removing or
 //! restoring a node or edge re-filters only the lanes of the touched
@@ -18,23 +18,23 @@
 //! lanes waste more than a quarter of the array, every lane is packed
 //! back to its live length, so the live triples stay dense. Every
 //! mutation call advances [`epoch`](GraphView::epoch), no-ops included.
-//! The sequential rip-up pass routes every net on one such view; the
-//! pathfinder builds one per iteration and binds read-only
-//! [`GraphOverlay`](crate::GraphOverlay)s over it for the usual per-net
-//! mutations (pin masking, congestion exclusion). Because the raw entries
-//! and flags are copied verbatim, iteration order — and therefore every
-//! routed tree — is bit-identical to iterating the source graph, or an
-//! overlay bound to it, mutated the same way.
+//!
+//! Both routing paths relax over such views. The sequential rip-up pass
+//! routes every net on one view built per pass; the PathFinder route
+//! phase builds one per iteration and gives each worker its own copy,
+//! which the worker mutates per net (pins revealed, congestion excluded)
+//! and restores. Because the raw entries and flags are copied verbatim,
+//! iteration order — and therefore every routed tree — is bit-identical
+//! to iterating the source graph mutated the same way.
 
-use crate::overlay::OverlayBase;
 use crate::view::{GraphView, GraphViewMut};
-use crate::{EdgeId, GraphError, NodeId, Weight};
+use crate::{EdgeId, Graph, GraphError, NodeId, Weight};
 
 /// Filler for lane slots no live triple occupies.
 const VACANT: (NodeId, EdgeId, Weight) =
     (NodeId::from_index(0), EdgeId::from_index(0), Weight::ZERO);
 
-/// A contiguous CSR copy of an [`OverlayBase`] graph, mutable in place.
+/// A contiguous CSR copy of a [`Graph`], mutable in place.
 ///
 /// # Example
 ///
@@ -60,10 +60,8 @@ const VACANT: (NodeId, EdgeId, Weight) =
 pub struct CsrView {
     /// `adj[offsets[v]..offsets[v + 1]]` are `v`'s raw adjacency entries.
     offsets: Vec<usize>,
-    /// Raw `(neighbor, edge)` pairs in base insertion order, tombstones
-    /// included — the [`OverlayBase`] surface, which overlays re-filter
-    /// against their own liveness deltas, and the source every lane
-    /// refill filters.
+    /// Raw `(neighbor, edge)` pairs in graph insertion order, tombstones
+    /// included: the source every lane refill filters.
     adj: Vec<(NodeId, EdgeId)>,
     /// `lanes[lane_start[v]..lane_start[v] + live_len[v]]` are `v`'s
     /// *usable* `(neighbor, edge, weight)` triples in raw order, in a slot
@@ -87,29 +85,27 @@ pub struct CsrView {
 }
 
 impl CsrView {
-    /// Copies `base` into flat arrays. `O(nodes + edges)`; the rip-up
+    /// Copies `graph` into flat arrays. `O(nodes + edges)`; the rip-up
     /// pass builds one per pass and the pathfinder one per iteration.
-    pub fn build<B: OverlayBase>(base: &B) -> CsrView {
-        let n = base.node_count();
-        let m = base.edge_count();
+    pub fn build(graph: &Graph) -> CsrView {
+        let n = graph.node_count();
+        let m = graph.edge_count();
         let mut offsets = Vec::with_capacity(n + 1);
         let mut adj = Vec::new();
         let mut node_alive = Vec::with_capacity(n);
         offsets.push(0);
-        for i in 0..n {
-            let v = NodeId::from_index(i);
-            adj.extend_from_slice(base.base_adj(v));
+        for v in (0..n).map(NodeId::from_index) {
+            adj.extend_from_slice(graph.adj_entries(v));
             offsets.push(adj.len());
-            node_alive.push(base.is_node_live(v));
+            node_alive.push(graph.is_node_live(v));
         }
         let mut edge_alive = Vec::with_capacity(m);
         let mut endpoints = Vec::with_capacity(m);
         let mut weights = Vec::with_capacity(m);
-        for i in 0..m {
-            let e = EdgeId::from_index(i);
-            edge_alive.push(base.base_edge_alive(e));
-            endpoints.push(base.endpoints(e).expect("edge id below edge_count"));
-            weights.push(base.weight(e).expect("edge id below edge_count"));
+        for (ends, weight, alive) in graph.edge_records() {
+            endpoints.push(ends);
+            weights.push(weight);
+            edge_alive.push(alive);
         }
         let mut csr = CsrView {
             lanes: vec![VACANT; adj.len()],
@@ -123,24 +119,15 @@ impl CsrView {
             edge_alive,
             endpoints,
             weights,
-            live_nodes: base.live_node_count(),
-            live_edge_flags: base.live_edge_count(),
-            epoch: base.epoch(),
+            live_nodes: graph.live_node_count(),
+            live_edge_flags: graph.live_edge_count(),
+            epoch: graph.epoch(),
         };
         for v in 0..n {
             csr.refill_lane(v);
         }
         csr.compact_if_sparse();
         csr
-    }
-
-    /// The raw adjacency index range of `v` (empty for unknown nodes).
-    fn adj_range(&self, v: NodeId) -> std::ops::Range<usize> {
-        if v.index() < self.node_alive.len() {
-            self.offsets[v.index()]..self.offsets[v.index() + 1]
-        } else {
-            0..0
-        }
     }
 
     /// Whether raw adjacency entry `k` is usable: its edge is not removed
@@ -328,16 +315,6 @@ impl GraphView for CsrView {
     }
 }
 
-impl OverlayBase for CsrView {
-    fn base_adj(&self, v: NodeId) -> &[(NodeId, EdgeId)] {
-        &self.adj[self.adj_range(v)]
-    }
-
-    fn base_edge_alive(&self, e: EdgeId) -> bool {
-        self.edge_alive.get(e.index()).copied().unwrap_or(false)
-    }
-}
-
 impl GraphViewMut for CsrView {
     fn set_weight(&mut self, e: EdgeId, weight: Weight) -> Result<(), GraphError> {
         let slot = self
@@ -378,7 +355,7 @@ impl GraphViewMut for CsrView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Graph, GraphOverlay, OverlayArena, ShortestPaths};
+    use crate::ShortestPaths;
 
     /// A small graph with removed nodes, removed edges, and parallel
     /// edges — every liveness case the snapshot must preserve.
@@ -444,46 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn overlay_over_csr_matches_overlay_over_graph() {
-        let (g, n) = mutated_graph();
-        let csr = CsrView::build(&g);
-        let mut arena_g = OverlayArena::new();
-        let mut arena_c = OverlayArena::new();
-        let mut over_g = GraphOverlay::bind(&g, &mut arena_g);
-        let mut over_c = GraphOverlay::bind(&csr, &mut arena_c);
-        // The router's per-net mutations: mask a pin, price an edge up.
-        let e0 = g.edge_ids().next().unwrap();
-        over_g.apply(n[2], e0);
-        over_c.apply(n[2], e0);
-        for v in (0..g.node_count()).map(NodeId::from_index) {
-            assert_eq!(
-                over_c.neighbors(v).collect::<Vec<_>>(),
-                over_g.neighbors(v).collect::<Vec<_>>(),
-                "overlaid adjacency of {v}"
-            );
-        }
-        let sp_g = ShortestPaths::run(&over_g, n[0]).unwrap();
-        let sp_c = ShortestPaths::run(&over_c, n[0]).unwrap();
-        for &v in &n {
-            assert_eq!(sp_c.dist(v), sp_g.dist(v));
-            assert_eq!(sp_c.parent(v), sp_g.parent(v));
-        }
-    }
-
-    /// Helper trait so the test above applies identical mutations to two
-    /// differently-typed overlays.
-    trait FnMutProbe {
-        fn apply(&mut self, mask: NodeId, price: EdgeId);
-    }
-
-    impl<B: OverlayBase> FnMutProbe for GraphOverlay<'_, B> {
-        fn apply(&mut self, mask: NodeId, price: EdgeId) {
-            self.remove_node(mask).unwrap();
-            self.add_weight(price, Weight::from_units(7)).unwrap();
-        }
-    }
-
-    #[test]
     fn moved_lanes_are_compacted_and_stay_exact() {
         // A grid's inner nodes all lose and regain neighbors, so lanes
         // outgrow their packed slots over and over; the array must stay
@@ -522,9 +459,7 @@ mod tests {
         let far_edge = EdgeId::from_index(99);
         assert!(!csr.is_node_live(far_node));
         assert!(!csr.is_edge_usable(far_edge));
-        assert!(!csr.base_edge_alive(far_edge));
         assert_eq!(csr.neighbors(far_node).count(), 0);
-        assert!(csr.base_adj(far_node).is_empty());
         assert!(matches!(
             GraphView::weight(&csr, far_edge),
             Err(GraphError::EdgeOutOfBounds(_))

@@ -446,15 +446,20 @@ impl Graph {
     }
 
     /// Raw adjacency entries of `v`, including entries whose edge or
-    /// neighbor is currently removed (the overlay filters by its own
-    /// liveness state, preserving insertion order).
+    /// neighbor is currently removed, in insertion order ([`CsrView`]
+    /// filters them by its own liveness state).
+    ///
+    /// [`CsrView`]: crate::CsrView
     pub(crate) fn adj_entries(&self, v: NodeId) -> &[(NodeId, EdgeId)] {
         self.nodes.get(v.index()).map_or(&[], |rec| rec.adj.as_slice())
     }
 
-    /// The edge's own removal flag, ignoring endpoint liveness.
-    pub(crate) fn edge_alive_flag(&self, e: EdgeId) -> bool {
-        self.edges.get(e.index()).is_some_and(|rec| rec.alive)
+    /// Every edge in id order as `(endpoints, weight, own removal flag)`,
+    /// the flag ignoring endpoint liveness.
+    pub(crate) fn edge_records(
+        &self,
+    ) -> impl Iterator<Item = ((NodeId, NodeId), Weight, bool)> + '_ {
+        self.edges.iter().map(|rec| ((rec.a, rec.b), rec.weight, rec.alive))
     }
 
     fn check_node(&self, v: NodeId) -> Result<(), GraphError> {

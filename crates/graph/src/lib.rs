@@ -29,9 +29,10 @@
 //!   tables for general graphs, all in saturating [`Weight`] math.
 //! * [`csr`] — flat compressed-sparse-row adjacency ([`csr::CsrView`])
 //!   packing `(neighbor, edge, weight)` into contiguous per-node lanes for
-//!   cache-friendly relaxation sweeps; mutable in place through
-//!   [`GraphViewMut`] (the rip-up pass graph), and an [`OverlayBase`], so
-//!   per-worker overlays bind over it unchanged.
+//!   cache-friendly relaxation sweeps, mutable in place through
+//!   [`GraphViewMut`]. The rip-up pass routes on one such view, and each
+//!   PathFinder route-phase worker on its own copy, mutating it per net
+//!   and restoring it afterwards.
 //! * [`TerminalDistances`] — the *distance graph* over a net's terminals
 //!   (the complete graph whose edge weights are shortest-path costs in `G`),
 //!   the shared primitive of KMB, ZEL, DOM and the iterated constructions.
@@ -42,10 +43,9 @@
 //! * [`random`] — seeded random graph / net workload generators.
 //! * [`rng`] — a vendored SplitMix64 PRNG so the workspace builds with no
 //!   network access (no crates.io dependencies).
-//! * [`view`] / [`overlay`] — the [`GraphView`] read abstraction served by
-//!   both [`Graph`] and the epoch-tagged copy-on-write [`GraphOverlay`],
-//!   which gives the negotiated-congestion route phase O(changed)
-//!   per-worker snapshots with O(1) restore instead of full clones.
+//! * [`view`] — the [`GraphView`] read and [`GraphViewMut`] mutation
+//!   abstractions served by both [`Graph`] and [`csr::CsrView`], so every
+//!   construction runs unchanged on either.
 //! * [`floyd`] — Floyd–Warshall all-pairs shortest paths, used as a test
 //!   oracle against Dijkstra.
 //!
@@ -81,7 +81,6 @@ mod ids;
 pub mod lowerbound;
 pub mod mst;
 pub mod multiweight;
-pub mod overlay;
 pub mod path;
 pub mod random;
 pub mod rng;
@@ -96,7 +95,6 @@ pub use error::GraphError;
 pub use graph::Graph;
 pub use grid::GridGraph;
 pub use ids::{EdgeId, NodeId};
-pub use overlay::{GraphOverlay, OverlayArena, OverlayBase};
 pub use path::Path;
 pub use view::{GraphView, GraphViewMut};
 pub use weight::{Weight, MILLI_PER_UNIT};

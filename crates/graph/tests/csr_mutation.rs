@@ -3,8 +3,10 @@
 //!
 //! The sequential rip-up pass routes every net on one `CsrView` whose
 //! lanes it edits in place (pin reveal and hide, commit removals,
-//! congestion repricing), so its trees are bit-identical to routing on a
-//! `Graph` only if every mutation keeps each lane exactly the `Graph`'s
+//! congestion repricing), and each PathFinder route-phase worker does
+//! the same on its own copy (pin reveal and hide, exclusion pricing and
+//! its restore). Their trees are bit-identical to routing on a `Graph`
+//! only if every mutation keeps each lane exactly the `Graph`'s
 //! filtered adjacency in insertion order. Cases are seeded SplitMix64
 //! interleavings of every mutation, idempotent repeats included; each
 //! failure names its seed and step.

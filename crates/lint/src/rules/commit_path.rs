@@ -3,13 +3,15 @@
 //!
 //! `.reprice_edges(` bulk-rewrites every edge weight of the priced
 //! snapshot, and its delta variant `.reprice_incident_edges(` rewrites
-//! the edges around nodes whose pressure changed. Either is only sound
-//! after the route phase's workers have joined: the borrow checker
-//! enforces that inside `pathfinder.rs`, where the snapshot is owned,
-//! but not for a caller elsewhere that holds its own `&mut Graph` to a
-//! snapshot some overlay might still be reading through. Calling them
-//! anywhere but `pathfinder.rs` (or the graph crate that defines them)
-//! is a diagnostic.
+//! the edges around nodes whose pressure changed. Either belongs to the
+//! cost-update phase, between two route phases: each route phase packs
+//! the priced graph into per-worker CSR views and routes on those, so
+//! a reprice lands in the *next* phase's views. `pathfinder.rs` owns
+//! the priced graph and reprices it only after the workers have joined;
+//! a caller elsewhere holding its own `&mut Graph` has no such phase
+//! boundary, and its reprice would silently miss or split an iteration.
+//! Calling them anywhere but `pathfinder.rs` (or the graph crate that
+//! defines them) is a diagnostic.
 
 use crate::{Diagnostic, FileCtx};
 

@@ -8,7 +8,7 @@
 //! let a worker write the snapshot its siblings are reading.
 //!
 //! `panic-hygiene` bans `.unwrap()`/`.expect(` in the route-critical
-//! modules (`dijkstra.rs`, `router.rs`, `overlay.rs`, `pathfinder.rs`)
+//! modules (`dijkstra.rs`, `router.rs`, `csr.rs`, `pathfinder.rs`)
 //! outside `#[cfg(test)]`. A panic there aborts a routing pass midway —
 //! on a route-phase worker, the whole iteration — so errors must surface
 //! as `FpgaError`/`Option` flow, and the few sites where a panic
@@ -34,7 +34,7 @@ pub const RULE_PANIC: &str = "panic-hygiene";
 /// documented-invariant idiom — stays legal in cone code outside this
 /// tier. Single-file mode (no call graph) falls back to this list as
 /// the whole scope, as before.
-const HOT_PATH_FILES: &[&str] = &["dijkstra.rs", "router.rs", "overlay.rs", "pathfinder.rs"];
+const HOT_PATH_FILES: &[&str] = &["dijkstra.rs", "router.rs", "csr.rs", "pathfinder.rs"];
 
 /// `path` is a crate root that must open with `#![forbid(unsafe_code)]`.
 fn is_crate_root(path: &str) -> bool {
